@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments import comparison
+from repro.experiments import comparison, registry
 
 from conftest import emit
 
 
 def test_comparison_severe_drop(benchmark, results_dir):
     rows = benchmark.pedantic(
-        lambda: comparison.run_comparison(drop_ratio=0.2),
+        lambda: registry.run("compare", {"drop_ratio": 0.2}),
         rounds=1,
         iterations=1,
     )
@@ -40,7 +40,7 @@ def test_comparison_severe_drop(benchmark, results_dir):
 
 def test_comparison_mild_drop(benchmark, results_dir):
     rows = benchmark.pedantic(
-        lambda: comparison.run_comparison(drop_ratio=0.6),
+        lambda: registry.run("compare", {"drop_ratio": 0.6}),
         rounds=1,
         iterations=1,
     )

@@ -6,7 +6,7 @@ Run with ``pytest benchmarks/bench_table1.py --benchmark-only -s``.
 
 from __future__ import annotations
 
-from repro.experiments import table1
+from repro.experiments import registry, table1
 from repro.experiments.scenarios import TABLE1_DROP_RATIOS
 
 from conftest import emit
@@ -14,7 +14,7 @@ from conftest import emit
 
 def test_table1_headline(benchmark, results_dir):
     rows = benchmark.pedantic(
-        table1.run_table, rounds=1, iterations=1
+        registry.run, args=("table1",), rounds=1, iterations=1
     )
     text = table1.format_table(rows)
     emit(results_dir, "table1", text)

@@ -4,28 +4,27 @@ Subcommands:
 
 * ``run`` — one session (policy, drop ratio, duration, seed) with a
   summary printout.
-* ``table1`` — regenerate the headline table.
+* ``table1``, ``compare``, ``chaos``, ``fleet``, ``sweep`` — one
+  subcommand per grid registered in :mod:`repro.experiments.registry`
+  (flags, ``--format``/``-o`` and, where the grid has them,
+  ``--quick``/``--list`` are derived from its record): the headline
+  table, the policy comparison, the fault-injection robustness matrix
+  (see ``docs/robustness.md``), the SFU fleet population scenarios (see
+  ``docs/fleet.md``) and the per-seed drop sweep.
 * ``figure`` — print one figure's data series.
-* ``compare`` — all policies on one scenario.
 * ``trace`` — run one telemetry-enabled session and export its probe
   series as JSONL or CSV (see ``docs/telemetry.md``).
 * ``profile`` — run one pinned session under cProfile and print the
   top-N hotspots as text or JSON (see ``docs/running-fast.md``).
-* ``chaos`` — run the fault-injection robustness matrix and export the
-  degradation report as a table, JSON, or CSV (see
-  ``docs/robustness.md``).
-* ``fleet`` — run city-scale SFU fleet population scenarios (churn,
-  flash crowds, regional degradation) and export the population QoE
-  report (see ``docs/fleet.md``).
 * ``resume`` — replay an interrupted supervised batch from its run
   manifest; finished cells come from the result cache.
 * ``shard`` — the distributed sweep fabric (see
-  ``docs/running-fast.md``): ``shard plan`` partitions a grid into K
-  deterministic shards, ``shard run`` executes one shard anywhere with
-  the supervised executor (per-shard manifest + cache + heartbeat
-  lease, resumable via ``repro-rtc resume``), ``shard steal`` (or
-  ``shard run --steal``) reclaims dead shards' unfinished cells,
-  ``shard status`` reports per-shard progress and lease health,
+  ``docs/running-fast.md``): ``shard plan`` partitions a registered
+  grid into K deterministic shards, ``shard run`` executes one shard
+  anywhere with the supervised executor (per-shard manifest + cache +
+  heartbeat lease, resumable via ``repro-rtc resume``), ``shard
+  steal`` (or ``shard run --steal``) reclaims dead shards' unfinished
+  cells, ``shard status`` reports per-shard progress and lease health,
   and ``shard merge`` folds shard outputs into one report
   byte-identical to a single-host serial run.
 * ``cache`` — inspect or clear the persistent result cache.
@@ -35,7 +34,7 @@ the experiment's sessions out over N processes; results are reused from
 the persistent cache unless ``--no-cache`` is given. Parallel and cached
 results are bit-identical to serial fresh runs.
 
-Supervision options (on ``run``/``table1``/``chaos``/``fleet``):
+Supervision options (on ``run`` and every grid subcommand):
 ``--session-timeout``, ``--max-retries``, and ``--manifest`` enable the
 supervised executor — per-session wall-clock timeouts, bounded retries,
 worker-crash recovery, quarantine with ``FAILED(...)`` markers, and a
@@ -60,17 +59,9 @@ from .errors import (
     ConfigError,
     ReproError,
 )
-from .experiments import (
-    ablations,
-    comparison,
-    figures,
-    fleet,
-    robustness,
-    scenarios,
-    table1,
-)
+from .experiments import ablations, figures, registry, scenarios
 from .metrics.summary import format_series
-from .pipeline.config import PolicyName
+from .pipeline.config import PolicyName, SessionConfig
 from .pipeline.manifest import (
     RunManifest,
     find_manifest,
@@ -85,23 +76,30 @@ from .pipeline.supervisor import (
     RetryPolicy,
     SupervisorPlan,
     SupervisorPolicy,
+    split_failures,
 )
-from .simcore.backend import KERNEL_ENV_VAR
+from .simcore.backend import AUTO_KERNEL, KERNEL_ENV_VAR, KERNELS
 from .telemetry import export_text
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _session_config(args: argparse.Namespace, **changes) -> SessionConfig:
+    """The step-drop session the ``--policy/--drop-ratio/--duration/
+    --seed`` flags describe."""
     config = scenarios.step_drop_config(args.drop_ratio, seed=args.seed)
-    config = dataclasses.replace(
+    return dataclasses.replace(
         config,
         policy=PolicyName(args.policy),
         duration=args.duration,
+        **changes,
     )
-    [result] = run_many([config])
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    [result] = run_many([_session_config(args)])
     if isinstance(result, FailedSession):
         print(f"policy            : {args.policy}")
         print(f"result            : {result.marker}")
-        return 0
+        return _exit_code(1, args.supervisor)
     start, end = scenarios.DROP_WINDOW
     print(f"policy            : {result.policy}")
     print(f"frames            : {len(result.frames)}")
@@ -126,21 +124,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    seeds = tuple(range(1, args.seeds + 1))
-    rows = table1.run_table(seeds=seeds)
-    text = table1.render(rows, args.format)
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(rows)} rows to {args.output}", file=sys.stderr
-        )
-    return 0
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
     producers = {
         1: lambda: figures.figure1(seed=args.seed),
@@ -155,30 +138,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    rows = comparison.run_comparison(
-        drop_ratio=args.drop_ratio, seeds=tuple(range(1, args.seeds + 1))
-    )
-    print(
-        comparison.format_comparison(
-            rows, comparison.comparison_title(args.drop_ratio)
-        )
-    )
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report import session_report
 
-    config = scenarios.step_drop_config(args.drop_ratio, seed=args.seed)
-    config = dataclasses.replace(
-        config,
-        policy=PolicyName(args.policy),
-        duration=args.duration,
-        enable_nack=args.nack,
-        enable_audio=args.audio,
+    result = run_session(
+        _session_config(args, enable_nack=args.nack, enable_audio=args.audio)
     )
-    result = run_session(config)
     print(session_report(result))
     if args.audio:
         print()
@@ -223,14 +188,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    config = scenarios.step_drop_config(args.drop_ratio, seed=args.seed)
-    config = dataclasses.replace(
-        config,
-        policy=PolicyName(args.policy),
-        duration=args.duration,
-        enable_telemetry=True,
-    )
-    result = run_session(config)
+    result = run_session(_session_config(args, enable_telemetry=True))
     assert result.traces is not None
     if args.list:
         for name in result.traces.series_names():
@@ -243,16 +201,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except ReproError as exc:  # unknown --series name
         print(f"repro-rtc: error: {exc}", file=sys.stderr)
         return 2
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(result.traces.series_names())} series to "
-            f"{args.output}",
-            file=sys.stderr,
-        )
+    _write_report(
+        text, args.output, f"{len(result.traces.series_names())} series"
+    )
     return 0
 
 
@@ -271,138 +222,89 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         text = report.to_json() + "\n"
     else:
         text = report.format_text()
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(report.hotspots)} hotspots to {args.output}",
-            file=sys.stderr,
-        )
+    _write_report(text, args.output, f"{len(report.hotspots)} hotspots")
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.list_faults:
-        for name in robustness.FAULT_NAMES:
-            schedule = robustness.fault_suite(args.fault_at)[name]
-            labels = ", ".join(spec.label() for spec in schedule)
-            print(f"{name:<22} {labels}")
-        return 0
-    if args.quick:
-        scenario_names = ("steady",)
-        fault_names = ("feedback_blackout", "capacity_outage")
-        policies = (PolicyName.ADAPTIVE,)
-        seeds: tuple[int, ...] = (1,)
-        duration = 14.0
-    else:
-        scenario_names = tuple(
-            args.scenarios or robustness.DEFAULT_SCENARIOS
-        )
-        fault_names = tuple(args.faults or robustness.DEFAULT_FAULTS)
-        policies = tuple(
-            PolicyName(p) for p in (
-                args.policies
-                or [p.value for p in robustness.DEFAULT_POLICIES]
-            )
-        )
-        seeds = tuple(range(1, args.seeds + 1))
-        duration = args.duration
-    report = robustness.run_matrix(
-        scenario_names=scenario_names,
-        fault_names=fault_names,
-        policies=policies,
-        seeds=seeds,
-        duration=duration,
-        fault_at=args.fault_at,
-    )
-    text = robustness.render(report, args.format)
-    if args.output is None or args.output == "-":
+def _write_report(
+    text: str, output: str | None, what: str | None = None
+) -> None:
+    """Write to stdout, or to ``output`` (noting ``wrote <what>``)."""
+    if output is None or output == "-":
         sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(report.cells)} cells to {args.output}",
-            file=sys.stderr,
-        )
-    return 0
+        return
+    with open(output, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    if what is not None:
+        print(f"wrote {what} to {output}", file=sys.stderr)
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    if args.list_scenarios:
-        for name in sorted(fleet.SCENARIOS):
-            doc = (fleet.SCENARIOS[name].__doc__ or "").strip()
-            summary = doc.splitlines()[0] if doc else ""
-            print(f"{name:<22} {summary}")
-        return 0
-    if args.quick:
-        scenario_names: tuple[str, ...] = (
-            "steady", "regional_degradation"
-        )
-        seeds: tuple[int, ...] = (1,)
-        subscribers = 20
-        duration = 8.0
-    else:
-        scenario_names = tuple(
-            args.scenarios or fleet.DEFAULT_SCENARIOS
-        )
-        seeds = tuple(range(1, args.seeds + 1))
-        subscribers = args.subscribers
-        duration = args.duration
-    report = fleet.run_population(
-        scenario_names=scenario_names,
-        seeds=seeds,
-        subscribers=subscribers,
-        duration=duration,
+def _exit_code(
+    quarantined: int, supervisor: SupervisorPlan | None = None
+) -> int:
+    """The one exit-code decision for a finished run.
+
+    Quarantined cells make the output partial: print the supervisor's
+    counters (when there is one) and the ``FAILED(...)`` notice, and
+    return :data:`EXIT_PARTIAL`; otherwise :data:`EXIT_OK`.
+    """
+    if not quarantined:
+        return EXIT_OK
+    if supervisor is not None:
+        for name, value in sorted(supervisor.stats.to_counters().items()):
+            print(f"repro-rtc: {name} = {value}", file=sys.stderr)
+    print(
+        f"repro-rtc: {quarantined} cell(s) quarantined; output contains "
+        "FAILED(...) markers",
+        file=sys.stderr,
     )
-    text = fleet.render(report, args.format)
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(report.cells)} fleet cells to {args.output}",
-            file=sys.stderr,
-        )
-    if any(cell.failed is not None for cell in report.cells):
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return EXIT_PARTIAL
+
+
+def _grid_params(
+    experiment: registry.Experiment, args: argparse.Namespace
+) -> dict:
+    """The grid parameters given on the command line (absent: unset)."""
+    params: dict = {}
+    for param in experiment.params:
+        value = getattr(args, param.name, None)
+        if value is None:
+            continue
+        if param.kind == "seeds":
+            value = list(range(1, value + 1))
+        params[param.name] = value
+    return params
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Any registered grid: normalize → build → run → render → write."""
+    experiment = registry.get(args.command)
+    given = _grid_params(experiment, args)
+    if getattr(args, "list", False):
+        defaults = {p.name: p.default for p in experiment.params}
+        sys.stdout.write(experiment.listing({**defaults, **given}))
+        return EXIT_OK
+    if getattr(args, "quick", False):
+        given.update(experiment.quick)
+    params, batch = experiment.plan(given)
+    results = run_many(batch)
+    report = experiment.collect(params, results)
+    _write_report(
+        experiment.format(params, report, args.format),
+        args.output,
+        f"{experiment.count(report)} {experiment.noun}",
+    )
+    _ok, failures = split_failures(results)
+    return _exit_code(len(failures), args.supervisor)
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    params: dict = {}
-    if args.seeds is not None:
-        params["seeds"] = list(range(1, args.seeds + 1))
-    if args.ratios:
-        params["ratios"] = args.ratios
-    if args.baseline is not None:
-        params["baseline"] = args.baseline
-    if args.drop_ratio is not None:
-        params["drop_ratio"] = args.drop_ratio
-    if args.policies:
-        params["policies"] = args.policies
-    if args.scenarios:
-        params["scenarios"] = args.scenarios
-    if args.subscribers is not None:
-        params["subscribers"] = args.subscribers
-    if args.duration is not None:
-        params["duration"] = args.duration
-    if args.faults:
-        params["faults"] = args.faults
-    if args.fault_at is not None:
-        params["fault_at"] = args.fault_at
+    params = _grid_params(registry.get(args.grid), args)
     plan = shards.build_plan(
         args.grid, params, args.shards, striping=args.striping
     )
     if args.output is None or args.output == "-":
-        import json
-
-        sys.stdout.write(
-            json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        sys.stdout.write(plan.to_json())
     else:
         plan.save(args.output)
     print(
@@ -415,15 +317,7 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
     plan = shards.ShardPlan.load(args.plan)
-    retry = (
-        RetryPolicy()
-        if args.max_retries is None
-        else RetryPolicy(max_retries=args.max_retries)
-    )
-    policy = SupervisorPolicy(
-        session_timeout=args.session_timeout, retry=retry
-    )
-    policy.validate()
+    policy = _supervisor_policy(args)
     manifest_path = (
         Path(args.manifest)
         if args.manifest is not None
@@ -459,25 +353,29 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
     )
     stolen_quarantined = 0
     if args.steal:
-        summary, _steal_plan = shards.steal_shard(
-            plan,
-            args.index,
-            args.out,
-            workers=max(1, args.workers),
-            policy=policy,
-            argv=getattr(args, "raw_argv", None),
-            lease_ttl=args.lease_ttl,
-        )
-        _print_steal_summary(args.index, summary)
-        stolen_quarantined = summary.quarantined
-    if quarantined or stolen_quarantined:
-        return EXIT_PARTIAL
-    return EXIT_OK
+        stolen_quarantined = _steal(args, plan, policy, args.out)
+    return _exit_code(len(quarantined) + stolen_quarantined)
 
 
-def _print_steal_summary(
-    index: int, summary: "shards.StealSummary"
-) -> None:
+def _steal(
+    args: argparse.Namespace,
+    plan: shards.ShardPlan,
+    policy: SupervisorPolicy,
+    base_dir: str,
+    **options,
+) -> int:
+    """Steal as shard ``--index``, report it; the quarantined count."""
+    index = args.index
+    summary, _splan = shards.steal_shard(
+        plan,
+        index,
+        base_dir,
+        workers=max(1, args.workers),
+        policy=policy,
+        argv=getattr(args, "raw_argv", None),
+        lease_ttl=args.lease_ttl,
+        **options,
+    )
     for problem in summary.problems:
         print(f"repro-rtc: warning: {problem}", file=sys.stderr)
     if summary.skipped_live:
@@ -492,7 +390,7 @@ def _print_steal_summary(
             f"repro-rtc: shard {index}: nothing to steal",
             file=sys.stderr,
         )
-        return
+        return 0
     victims = ", ".join(str(v) for v in summary.victims)
     print(
         f"repro-rtc: shard {index} stole {summary.claimed} cell(s) "
@@ -500,34 +398,19 @@ def _print_steal_summary(
         f"{summary.quarantined} quarantined",
         file=sys.stderr,
     )
+    return summary.quarantined
 
 
 def _cmd_shard_steal(args: argparse.Namespace) -> int:
     plan = shards.ShardPlan.load(args.plan)
-    retry = (
-        RetryPolicy()
-        if args.max_retries is None
-        else RetryPolicy(max_retries=args.max_retries)
-    )
-    policy = SupervisorPolicy(
-        session_timeout=args.session_timeout, retry=retry
-    )
-    policy.validate()
-    summary, _splan = shards.steal_shard(
+    return _exit_code(_steal(
+        args,
         plan,
-        args.index,
+        _supervisor_policy(args),
         args.dir,
-        workers=max(1, args.workers),
-        policy=policy,
-        argv=getattr(args, "raw_argv", None),
         victims=args.victims or None,
-        lease_ttl=args.lease_ttl,
         grace=args.grace,
-    )
-    _print_steal_summary(args.index, summary)
-    if summary.quarantined:
-        return EXIT_PARTIAL
-    return EXIT_OK
+    ))
 
 
 def _cmd_shard_merge(args: argparse.Namespace) -> int:
@@ -550,11 +433,7 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
     text, quarantined = shards.render_merged(
         plan, cache, manifest, args.format
     )
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_report(text, args.output)
     print(
         f"repro-rtc: merged {summary.shards_seen} shard dir(s) of plan "
         f"{plan.plan_id}: {summary.cells} cells, {summary.ok} ok, "
@@ -562,14 +441,7 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
         f"(merged cache: {cache.root})",
         file=sys.stderr,
     )
-    if quarantined:
-        print(
-            f"repro-rtc: {quarantined} cell(s) quarantined; report "
-            "contains FAILED(...) markers",
-            file=sys.stderr,
-        )
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_code(quarantined)
 
 
 def _cmd_shard_status(args: argparse.Namespace) -> int:
@@ -641,6 +513,26 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_output_flag(
+    parser: argparse.ArgumentParser, what: str = "output file"
+) -> None:
+    parser.add_argument(
+        "--output", "-o", default=None, help=f"{what} (default or '-': stdout)"
+    )
+
+
+def _add_session_flags(parser: argparse.ArgumentParser) -> None:
+    """The single-session flags of run/report/trace/profile."""
+    parser.add_argument(
+        "--policy",
+        choices=[p.value for p in PolicyName],
+        default="adaptive",
+    )
+    parser.add_argument("--drop-ratio", type=float, default=0.2)
+    parser.add_argument("--duration", type=float, default=25.0)
+    parser.add_argument("--seed", type=int, default=1)
+
+
 def _add_supervision_flags(parser: argparse.ArgumentParser) -> None:
     """Supervised-execution knobs shared by run/table1/chaos/fleet."""
     group = parser.add_argument_group(
@@ -675,6 +567,102 @@ def _add_supervision_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _value_text(value: object) -> str:
+    """A parameter value as ``--help`` shows it."""
+    if isinstance(value, (list, tuple)):
+        return ", ".join(_value_text(item) for item in value)
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
+
+
+def _add_param_flag(
+    parser: argparse.ArgumentParser,
+    param: registry.Param,
+    choices: list | None,
+    help_text: str,
+) -> None:
+    """One grid parameter as a flag; unset flags stay ``None``."""
+    options: dict = {
+        "dest": param.name,
+        "type": param.type,
+        "default": None,
+        "help": help_text,
+    }
+    if choices is not None:
+        options["choices"] = choices
+    if param.kind == "many":
+        options["action"] = "append"
+    if param.kind == "seeds":
+        options["metavar"] = "N"
+    parser.add_argument(param.flag, **options)
+
+
+def _add_experiment_parser(
+    sub: argparse._SubParsersAction, experiment: registry.Experiment
+) -> None:
+    """The ``repro-rtc <grid>`` subcommand, derived from its record."""
+    parser = sub.add_parser(experiment.name, help=experiment.help)
+    for param in experiment.params:
+        default = param.default
+        if param.kind == "seeds":
+            default = len(default)
+        _add_param_flag(
+            parser,
+            param,
+            None if param.choices is None else list(param.choices),
+            f"{param.help} ({'repeatable; ' * (param.kind == 'many')}"
+            f"default: {_value_text(default)})",
+        )
+    if experiment.quick is not None:
+        pinned = "; ".join(
+            f"{name} {_value_text(value)}"
+            for name, value in experiment.quick.items()
+        )
+        parser.add_argument(
+            "--quick",
+            action="store_true",
+            help=f"tiny pinned grid (CI smoke): {pinned}",
+        )
+    parser.add_argument(
+        "--format",
+        choices=list(experiment.formats),
+        default=experiment.formats[0],
+        help=f"output format (default: {experiment.formats[0]})",
+    )
+    _add_output_flag(parser)
+    if experiment.listing is not None:
+        parser.add_argument(
+            "--list", action="store_true", help=experiment.list_help
+        )
+    _add_supervision_flags(parser)
+    parser.set_defaults(func=_cmd_experiment)
+
+
+def _add_shard_grid_flags(parser: argparse.ArgumentParser) -> None:
+    """Every registered grid's parameters as ``shard plan`` flags.
+
+    A parameter shared by several grids is one flag whose choices are
+    the union; ``--grid`` decides which flags a plan reads.
+    """
+    uses: dict[str, list[tuple[str, registry.Param]]] = {}
+    for experiment in registry.EXPERIMENTS.values():
+        for param in experiment.params:
+            uses.setdefault(param.name, []).append((experiment.name, param))
+    for grids in uses.values():
+        param = grids[0][1]
+        choices = sorted({c for _n, p in grids for c in p.choices or ()})
+        names = "/".join(name for name, _p in grids)
+        plural = "s" * (len(grids) > 1)
+        repeatable = " (repeatable)" * (param.kind == "many")
+        _add_param_flag(
+            parser,
+            param,
+            choices or None,
+            f"{names} grid{plural}: {param.help}{repeatable}",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI parser."""
     parser = argparse.ArgumentParser(
@@ -703,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel",
-        choices=["auto", "heap", "calendar", "batched"],
+        choices=[AUTO_KERNEL, *KERNELS],
         default=None,
         help="event-kernel backend for every session this invocation "
         "runs (sets REPRO_KERNEL, so worker processes inherit it; "
@@ -712,43 +700,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one session")
-    run_p.add_argument(
-        "--policy",
-        choices=[p.value for p in PolicyName],
-        default="adaptive",
-    )
-    run_p.add_argument("--drop-ratio", type=float, default=0.2)
-    run_p.add_argument("--duration", type=float, default=25.0)
-    run_p.add_argument("--seed", type=int, default=1)
+    _add_session_flags(run_p)
     _add_supervision_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
 
-    t1_p = sub.add_parser("table1", help="regenerate the headline table")
-    t1_p.add_argument("--seeds", type=int, default=5)
-    t1_p.add_argument(
-        "--format",
-        choices=["table", "json", "csv"],
-        default="table",
-        help="output format (default: table)",
-    )
-    t1_p.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="output file (default or '-': stdout)",
-    )
-    _add_supervision_flags(t1_p)
-    t1_p.set_defaults(func=_cmd_table1)
+    for experiment in registry.EXPERIMENTS.values():
+        _add_experiment_parser(sub, experiment)
 
     fig_p = sub.add_parser("figure", help="print one figure's data")
     fig_p.add_argument("number", type=int, choices=[1, 2, 3, 4])
     fig_p.add_argument("--seed", type=int, default=1)
     fig_p.set_defaults(func=_cmd_figure)
-
-    cmp_p = sub.add_parser("compare", help="compare all policies")
-    cmp_p.add_argument("--drop-ratio", type=float, default=0.2)
-    cmp_p.add_argument("--seeds", type=int, default=3)
-    cmp_p.set_defaults(func=_cmd_compare)
 
     abl_p = sub.add_parser("ablate", help="run the ablations")
     abl_p.add_argument("--drop-ratio", type=float, default=0.2)
@@ -758,14 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p = sub.add_parser(
         "report", help="full analysis report of one session"
     )
-    rep_p.add_argument(
-        "--policy",
-        choices=[p.value for p in PolicyName],
-        default="adaptive",
-    )
-    rep_p.add_argument("--drop-ratio", type=float, default=0.2)
-    rep_p.add_argument("--duration", type=float, default=25.0)
-    rep_p.add_argument("--seed", type=int, default=1)
+    _add_session_flags(rep_p)
     rep_p.add_argument("--nack", action="store_true")
     rep_p.add_argument("--audio", action="store_true")
     rep_p.set_defaults(func=_cmd_report)
@@ -780,14 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run one telemetry-enabled session and export its traces",
     )
-    trace_p.add_argument(
-        "--policy",
-        choices=[p.value for p in PolicyName],
-        default="adaptive",
-    )
-    trace_p.add_argument("--drop-ratio", type=float, default=0.2)
-    trace_p.add_argument("--duration", type=float, default=25.0)
-    trace_p.add_argument("--seed", type=int, default=1)
+    _add_session_flags(trace_p)
     trace_p.add_argument(
         "--format",
         choices=["jsonl", "csv"],
@@ -800,12 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="export only this probe series (repeatable; default: all)",
     )
-    trace_p.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="output file (default or '-': stdout)",
-    )
+    _add_output_flag(trace_p)
     trace_p.add_argument(
         "--list",
         action="store_true",
@@ -817,14 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="profile one pinned session and print the top hotspots",
     )
-    prof_p.add_argument(
-        "--policy",
-        choices=[p.value for p in PolicyName],
-        default="adaptive",
-    )
-    prof_p.add_argument("--drop-ratio", type=float, default=0.2)
-    prof_p.add_argument("--duration", type=float, default=25.0)
-    prof_p.add_argument("--seed", type=int, default=1)
+    _add_session_flags(prof_p)
     prof_p.add_argument(
         "--top",
         type=int,
@@ -843,138 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text)",
     )
-    prof_p.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="output file (default or '-': stdout)",
-    )
+    _add_output_flag(prof_p)
     prof_p.set_defaults(func=_cmd_profile)
-
-    chaos_p = sub.add_parser(
-        "chaos",
-        help="run the fault-injection robustness matrix",
-    )
-    chaos_p.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        choices=sorted(robustness.SCENARIOS),
-        help="scenario to include (repeatable; default: "
-        f"{', '.join(robustness.DEFAULT_SCENARIOS)})",
-    )
-    chaos_p.add_argument(
-        "--fault",
-        action="append",
-        dest="faults",
-        choices=list(robustness.FAULT_NAMES),
-        help="fault schedule to include (repeatable; default: all)",
-    )
-    chaos_p.add_argument(
-        "--policy",
-        action="append",
-        dest="policies",
-        choices=[p.value for p in PolicyName],
-        help="policy to include (repeatable; default: "
-        f"{', '.join(p.value for p in robustness.DEFAULT_POLICIES)})",
-    )
-    chaos_p.add_argument("--seeds", type=int, default=2)
-    chaos_p.add_argument(
-        "--duration", type=float, default=robustness.DURATION
-    )
-    chaos_p.add_argument(
-        "--fault-at",
-        type=float,
-        default=robustness.FAULT_AT,
-        help="when fault windows open (default: "
-        f"{robustness.FAULT_AT:g} s)",
-    )
-    chaos_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny pinned grid (CI smoke): steady scenario, two "
-        "faults, adaptive policy, one seed",
-    )
-    chaos_p.add_argument(
-        "--format",
-        choices=["table", "json", "csv"],
-        default="table",
-        help="output format (default: table)",
-    )
-    chaos_p.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="output file (default or '-': stdout)",
-    )
-    chaos_p.add_argument(
-        "--list",
-        dest="list_faults",
-        action="store_true",
-        help="list the canonical fault schedules instead of running",
-    )
-    _add_supervision_flags(chaos_p)
-    chaos_p.set_defaults(func=_cmd_chaos)
-
-    fleet_p = sub.add_parser(
-        "fleet",
-        help="run city-scale SFU fleet population scenarios "
-        "(see docs/fleet.md)",
-    )
-    fleet_p.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        choices=sorted(fleet.SCENARIOS),
-        help="population scenario to include (repeatable; default: "
-        f"{', '.join(fleet.DEFAULT_SCENARIOS)})",
-    )
-    fleet_p.add_argument(
-        "--seeds",
-        type=int,
-        default=1,
-        metavar="N",
-        help="seeds 1..N per scenario (default: 1)",
-    )
-    fleet_p.add_argument(
-        "--subscribers",
-        type=int,
-        default=fleet.SUBSCRIBERS,
-        help="total subscriber population, split across the two "
-        f"regions (default: {fleet.SUBSCRIBERS})",
-    )
-    fleet_p.add_argument(
-        "--duration",
-        type=float,
-        default=fleet.DURATION,
-        help=f"capture duration in seconds (default: {fleet.DURATION:g})",
-    )
-    fleet_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny pinned grid (CI smoke): steady + "
-        "regional_degradation, one seed, 20 subscribers, 8 s",
-    )
-    fleet_p.add_argument(
-        "--format",
-        choices=["table", "json", "csv"],
-        default="table",
-        help="output format (default: table)",
-    )
-    fleet_p.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="output file (default or '-': stdout)",
-    )
-    fleet_p.add_argument(
-        "--list",
-        dest="list_scenarios",
-        action="store_true",
-        help="list the population scenarios instead of running",
-    )
-    _add_supervision_flags(fleet_p)
-    fleet_p.set_defaults(func=_cmd_fleet)
 
     resume_p = sub.add_parser(
         "resume",
@@ -1001,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     splan_p.add_argument(
         "--grid",
-        choices=sorted(shards.GRIDS),
+        choices=sorted(registry.EXPERIMENTS),
         default="table1",
         help="which grid to shard (default: table1)",
     )
@@ -1013,90 +819,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of shards to stripe the grid over",
     )
     splan_p.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        metavar="N",
-        help="seeds 1..N per point (default: the grid's canonical set)",
-    )
-    splan_p.add_argument(
         "--striping",
         choices=list(shards.STRIPING_MODES),
         default="cost",
         help="cell -> shard policy: cost-weighted LPT or plain "
         "round-robin (default: cost)",
     )
-    splan_p.add_argument(
-        "--ratio",
-        dest="ratios",
-        action="append",
-        type=float,
-        metavar="R",
-        help="table1/sweep grids: drop ratio to include (repeatable; "
-        "default: the canonical five)",
-    )
-    splan_p.add_argument(
-        "--baseline",
-        choices=[p.value for p in PolicyName],
-        default=None,
-        help="table1 grid: baseline policy (default: webrtc)",
-    )
-    splan_p.add_argument(
-        "--drop-ratio",
-        type=float,
-        default=None,
-        help="compare grid: scenario severity (default: 0.2)",
-    )
-    splan_p.add_argument(
-        "--policy",
-        dest="policies",
-        action="append",
-        choices=[p.value for p in PolicyName],
-        help="compare/chaos grids: policy to include (repeatable; "
-        "default: all / adaptive+webrtc)",
-    )
-    splan_p.add_argument(
-        "--scenario",
-        dest="scenarios",
-        action="append",
-        choices=sorted(set(fleet.SCENARIOS) | set(robustness.SCENARIOS)),
-        help="fleet/chaos grids: scenario to include (repeatable; "
-        "default: the grid's canonical set)",
-    )
-    splan_p.add_argument(
-        "--subscribers",
-        type=int,
-        default=None,
-        help="fleet grid: total subscriber population "
-        f"(default: {fleet.SUBSCRIBERS})",
-    )
-    splan_p.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="fleet/chaos grids: capture duration in seconds "
-        f"(defaults: {fleet.DURATION:g} / {robustness.DURATION:g})",
-    )
-    splan_p.add_argument(
-        "--fault",
-        dest="faults",
-        action="append",
-        choices=sorted(robustness.FAULT_NAMES),
-        help="chaos grid: fault to include (repeatable; default: all)",
-    )
-    splan_p.add_argument(
-        "--fault-at",
-        type=float,
-        default=None,
-        help="chaos grid: when fault windows open "
-        f"(default: {robustness.FAULT_AT:g})",
-    )
-    splan_p.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="plan file (default or '-': stdout)",
-    )
+    _add_shard_grid_flags(splan_p)
+    _add_output_flag(splan_p, "plan file")
     splan_p.set_defaults(func=_cmd_shard_plan)
 
     srun_p = shard_sub.add_parser(
@@ -1203,16 +933,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     smerge_p.add_argument(
         "--format",
-        choices=["table", "json", "csv"],
+        choices=sorted(
+            {f for e in registry.EXPERIMENTS.values() for f in e.formats}
+        ),
         default="table",
-        help="report format (default: table)",
+        help="report format, one the plan's grid lists (default: table)",
     )
-    smerge_p.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="report file (default or '-': stdout)",
-    )
+    _add_output_flag(smerge_p, "report file")
     smerge_p.set_defaults(func=_cmd_shard_merge)
 
     sstatus_p = shard_sub.add_parser(
@@ -1248,6 +975,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _supervisor_policy(args: argparse.Namespace) -> SupervisorPolicy:
+    """The validated ``--session-timeout``/``--max-retries`` policy.
+
+    Raises:
+        ConfigError: on invalid values.
+    """
+    retry = (
+        RetryPolicy()
+        if args.max_retries is None
+        else RetryPolicy(max_retries=args.max_retries)
+    )
+    policy = SupervisorPolicy(
+        session_timeout=args.session_timeout, retry=retry
+    )
+    policy.validate()
+    return policy
+
+
 def _build_supervision(
     args: argparse.Namespace, raw_argv: list[str]
 ) -> tuple[SupervisorPlan | None, RunManifest | None]:
@@ -1256,26 +1001,22 @@ def _build_supervision(
     Raises:
         ConfigError: on invalid ``--session-timeout``/``--max-retries``.
     """
-    timeout = getattr(args, "session_timeout", None)
-    retries = getattr(args, "max_retries", None)
     manifest_arg = getattr(args, "manifest", None)
-    if timeout is None and retries is None and manifest_arg is None:
+    if (
+        getattr(args, "session_timeout", None) is None
+        and getattr(args, "max_retries", None) is None
+        and manifest_arg is None
+    ):
         return None, None
-    retry = (
-        RetryPolicy()
-        if retries is None
-        else RetryPolicy(max_retries=retries)
-    )
-    policy = SupervisorPolicy(session_timeout=timeout, retry=retry)
-    policy.validate()
+    policy = _supervisor_policy(args)
     if manifest_arg is not None:
         manifest = RunManifest.create(
             Path(manifest_arg),
             argv=raw_argv,
             command=args.command,
             workers=max(1, args.workers),
-            session_timeout=timeout,
-            max_retries=retry.max_retries,
+            session_timeout=policy.session_timeout,
+            max_retries=policy.retry.max_retries,
         )
     else:
         run_id = new_run_id(raw_argv)
@@ -1285,8 +1026,8 @@ def _build_supervision(
             argv=raw_argv,
             command=args.command,
             workers=max(1, args.workers),
-            session_timeout=timeout,
-            max_retries=retry.max_retries,
+            session_timeout=policy.session_timeout,
+            max_retries=policy.retry.max_retries,
         )
     manifest.save(force=True)
     print(
@@ -1338,7 +1079,7 @@ def main(argv: list[str] | None = None) -> int:
     raw_argv = list(argv) if argv is not None else sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(raw_argv)
-    if getattr(args, "kernel", None) and args.kernel != "auto":
+    if getattr(args, "kernel", None) and args.kernel != AUTO_KERNEL:
         # Sessions resolve "auto" through REPRO_KERNEL, and worker
         # processes inherit the environment — one assignment covers
         # serial and parallel paths alike.
@@ -1376,9 +1117,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"repro-rtc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    args.supervisor = plan
     configure(workers=max(1, args.workers), cache=cache, supervisor=plan)
     try:
-        code = args.func(args)
+        return args.func(args)
     except KeyboardInterrupt:
         # The supervisor already sealed the manifest mid-batch; this
         # covers interrupts that land outside a batch.
@@ -1401,16 +1143,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     finally:
         configure(supervisor=None)
-    if code == EXIT_OK and plan is not None and plan.stats.quarantined:
-        for name, value in sorted(plan.stats.to_counters().items()):
-            print(f"repro-rtc: {name} = {value}", file=sys.stderr)
-        print(
-            f"repro-rtc: {plan.stats.quarantined} session(s) "
-            "quarantined; output contains FAILED(...) markers",
-            file=sys.stderr,
-        )
-        return EXIT_PARTIAL
-    return code
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 Each scenario builds one :class:`~repro.fleet.FleetConfig` per seed —
 a two-region fleet with a deliberately tight shared downlink — and the
-whole grid goes through one :func:`~repro.pipeline.parallel.run_many`
-call, so fleet cells cache, parallelize, supervise, and shard exactly
-like single-session cells. The report carries population-level QoE
+whole grid runs as the ``fleet`` experiment of
+:mod:`repro.experiments.registry`, one
+:func:`~repro.pipeline.parallel.run_many` call, so fleet cells cache,
+parallelize, supervise, and shard exactly like single-session cells.
+The report carries population-level QoE
 (p50/p95/p99 latency, freeze ratio, SSIM) plus the per-region split
 that makes a regional fault's blast radius visible.
 
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..faults.spec import FaultKind, FaultSchedule, FaultSpec
 from ..fleet import FleetConfig, FleetResult, two_region_fleet
-from ..pipeline.parallel import run_many
 from ..pipeline.supervisor import FailedSession, failure_label
+from ..pipeline.sweeps import csv_text
 
 #: Default capture duration for fleet cells (population dynamics —
 #: initial contention, downgrades, probe recovery — play out within a
@@ -172,19 +174,10 @@ class FleetReport:
     def to_csv(self) -> str:
         """Deterministic CSV, one row per cell."""
         columns = [f.name for f in dataclasses.fields(FleetCell)]
-        lines = [",".join(columns)]
-        for cell in self.cells:
-            row = []
-            for name in columns:
-                value = getattr(cell, name)
-                if value is None:
-                    row.append("")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                else:
-                    row.append(str(value))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            columns,
+            ([getattr(cell, n) for n in columns] for cell in self.cells),
+        )
 
     def format_table(self) -> str:
         """Aligned text table, one row per cell."""
@@ -228,15 +221,6 @@ def render(report: FleetReport, fmt: str) -> str:
 # ----------------------------------------------------------------------
 # Planning and assembly (split so the shard fabric reuses both halves)
 # ----------------------------------------------------------------------
-def _check_names(scenario_names: tuple[str, ...]) -> None:
-    for name in scenario_names:
-        if name not in SCENARIOS:
-            raise ConfigError(
-                f"unknown fleet scenario {name!r}; "
-                f"known: {sorted(SCENARIOS)}"
-            )
-
-
 def plan_batch(
     scenario_names: tuple[str, ...] = DEFAULT_SCENARIOS,
     seeds: tuple[int, ...] = (1,),
@@ -244,7 +228,12 @@ def plan_batch(
     duration: float = DURATION,
 ) -> list[FleetConfig]:
     """The grid's deterministic config batch, scenario-major."""
-    _check_names(scenario_names)
+    for name in scenario_names:
+        if name not in SCENARIOS:
+            raise ConfigError(
+                f"unknown fleet scenario {name!r}; "
+                f"known: {sorted(SCENARIOS)}"
+            )
     if not seeds:
         raise ConfigError("need at least one seed")
     if subscribers < 2:
@@ -311,21 +300,3 @@ def rows_from_results(
                 )
             )
     return cells
-
-
-def run_population(
-    scenario_names: tuple[str, ...] = DEFAULT_SCENARIOS,
-    seeds: tuple[int, ...] = (1,),
-    subscribers: int = SUBSCRIBERS,
-    duration: float = DURATION,
-) -> FleetReport:
-    """Run the scenario × seed fleet grid and assemble the report."""
-    batch = plan_batch(scenario_names, seeds, subscribers, duration)
-    results = run_many(batch)
-    return FleetReport(
-        scenarios=tuple(scenario_names),
-        seeds=tuple(seeds),
-        subscribers=subscribers,
-        duration=duration,
-        cells=rows_from_results(results, tuple(scenario_names), tuple(seeds)),
-    )

@@ -9,8 +9,10 @@ reports how much the fault degraded the call:
 * **recovery time**: how long after each fault window closed until a
   fresh frame reached the screen at near-baseline latency.
 
-Everything goes through :func:`~repro.pipeline.parallel.run_many`, so
-the grid caches, parallelizes, and stays bit-identical across workers.
+The grid runs as the ``chaos`` experiment of
+:mod:`repro.experiments.registry`: one
+:func:`~repro.pipeline.parallel.run_many` batch, so it caches,
+parallelizes, and stays bit-identical across workers.
 The report's JSON/CSV encodings are deterministic: same seeds + same
 grid = byte-identical output (enforced by the ``chaos-smoke`` CI job).
 """
@@ -26,9 +28,9 @@ import numpy as np
 from ..errors import ConfigError
 from ..faults.spec import FaultKind, FaultSchedule, FaultSpec
 from ..pipeline.config import NetworkConfig, PolicyName, SessionConfig, VideoConfig
-from ..pipeline.parallel import run_many
 from ..pipeline.results import SessionResult
 from ..pipeline.supervisor import failure_label, split_failures
+from ..pipeline.sweeps import csv_text
 from ..traces.bandwidth import BandwidthTrace
 from ..traces.content import ContentClass
 from ..units import mbps
@@ -244,19 +246,10 @@ class RobustnessReport:
     def to_csv(self) -> str:
         """Deterministic CSV, one row per cell."""
         columns = [f.name for f in dataclasses.fields(RobustnessCell)]
-        lines = [",".join(columns)]
-        for cell in self.cells:
-            row = []
-            for name in columns:
-                value = getattr(cell, name)
-                if value is None:
-                    row.append("")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                else:
-                    row.append(str(value))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            columns,
+            ([getattr(cell, n) for n in columns] for cell in self.cells),
+        )
 
     def format_table(self) -> str:
         """Aligned text table, grouped by scenario."""
@@ -519,34 +512,4 @@ def report_from_results(
         fault_at=fault_at,
         measure_from=MEASURE_FROM,
         cells=cells,
-    )
-
-
-def run_matrix(
-    scenario_names: tuple[str, ...] = DEFAULT_SCENARIOS,
-    fault_names: tuple[str, ...] = DEFAULT_FAULTS,
-    policies: tuple[PolicyName, ...] = DEFAULT_POLICIES,
-    seeds: tuple[int, ...] = (1, 2),
-    duration: float = DURATION,
-    fault_at: float = FAULT_AT,
-) -> RobustnessReport:
-    """Run the scenario × fault grid and aggregate the degradation.
-
-    Per (scenario, policy, seed): one clean baseline session plus one
-    session per fault schedule, all batched through a single
-    :func:`run_many` call so caching and worker fan-out apply. The
-    deltas in each cell compare against the *same-seed* baseline, so
-    encoder noise and content draws cancel out exactly.
-    """
-    batch = plan_batch(
-        scenario_names, fault_names, policies, seeds, duration, fault_at
-    )
-    return report_from_results(
-        run_many(batch),
-        scenario_names,
-        fault_names,
-        policies,
-        seeds,
-        duration,
-        fault_at,
     )

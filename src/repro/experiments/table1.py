@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..pipeline.config import PolicyName, SessionConfig
-from ..pipeline.parallel import run_many
 from ..pipeline.results import SessionResult
 from ..pipeline.supervisor import failure_label, split_failures
+from ..pipeline.sweeps import csv_text
 from . import scenarios
 
 
@@ -117,16 +117,6 @@ def _row_from_results(
     )
 
 
-def run_row(
-    drop_ratio: float,
-    seeds: tuple[int, ...] = scenarios.TABLE1_SEEDS,
-    baseline: PolicyName = PolicyName.WEBRTC,
-) -> Table1Row:
-    """Compute one table row, averaging the given seeds."""
-    results = run_many(_row_configs(drop_ratio, seeds, baseline))
-    return _row_from_results(drop_ratio, results)
-
-
 def plan_batch(
     ratios: tuple[float, ...] = scenarios.TABLE1_DROP_RATIOS,
     seeds: tuple[int, ...] = scenarios.TABLE1_SEEDS,
@@ -158,21 +148,6 @@ def rows_from_results(
         _row_from_results(ratio, results[lo:hi])
         for ratio, lo, hi in spans
     ]
-
-
-def run_table(
-    ratios: tuple[float, ...] = scenarios.TABLE1_DROP_RATIOS,
-    seeds: tuple[int, ...] = scenarios.TABLE1_SEEDS,
-    baseline: PolicyName = PolicyName.WEBRTC,
-) -> list[Table1Row]:
-    """Compute the full headline table.
-
-    All ``len(ratios) × len(seeds) × 2`` sessions go through one
-    :func:`run_many` batch, so a configured worker pool parallelizes
-    the entire table regeneration.
-    """
-    batch, spans = plan_batch(ratios, seeds, baseline)
-    return rows_from_results(run_many(batch), spans)
 
 
 def format_table(rows: list[Table1Row]) -> str:
@@ -252,16 +227,7 @@ def render(rows: list[Table1Row], fmt: str) -> str:
 def to_csv(rows: list[Table1Row]) -> str:
     """Deterministic CSV, one row per severity point."""
     columns = ["drop_ratio", "label", *_METRIC_FIELDS, "failed"]
-    lines = [",".join(columns)]
-    for payload in rows_to_dicts(rows):
-        cells = []
-        for name in columns:
-            value = payload[name]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(repr(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        columns,
+        ([payload[n] for n in columns] for payload in rows_to_dicts(rows)),
+    )

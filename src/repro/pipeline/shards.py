@@ -9,13 +9,13 @@ and fold the chunk outputs back together.
 
 Three phases, each a CLI subcommand:
 
-* **plan** — :func:`build_plan` expands a named grid (scenario × seed ×
-  policy) into its deterministic config batch, hashes every cell, and
-  stripes cells over ``K`` shards (cell ``i`` → shard ``i % K``). The
-  resulting :class:`ShardPlan` is a pure function of the grid and
-  ``K`` — the same inputs always serialize to byte-identical plan
-  files, so every host can regenerate the plan locally instead of
-  shipping it around.
+* **plan** — :func:`build_plan` expands a named grid — an experiment
+  registered in :mod:`repro.experiments.registry` — into its
+  deterministic config batch, hashes every cell, and stripes cells
+  over ``K`` shards (cell ``i`` → shard ``i % K``). The resulting
+  :class:`ShardPlan` is a pure function of the grid and ``K`` — the
+  same inputs always serialize to byte-identical plan files, so every
+  host can regenerate the plan locally instead of shipping it around.
 * **run** — :func:`run_shard` executes one shard's cells through the
   supervised executor, writing a per-shard
   :class:`~repro.pipeline.manifest.RunManifest` and
@@ -66,10 +66,9 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import ConfigError, LeaseConflictError
-from .config import PolicyName, SessionConfig
 from .manifest import (
     DEFAULT_LEASE_TTL,
     STATUSES,
@@ -100,325 +99,17 @@ STRIPING_MODES = ("cost", "round-robin")
 CLAIMS_DIR = "claims"
 
 
-# ----------------------------------------------------------------------
-# Grid registry
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GridDef:
-    """One shardable grid: normalize params, enumerate, render.
-
-    ``normalize`` validates raw parameters and fills defaults into a
-    canonical JSON-ready dict (the plan stores exactly this, so two
-    plans of the same logical grid are byte-identical). ``build``
-    deterministically enumerates the session batch. ``render`` folds a
-    full result list (in ``build`` order, quarantined cells as
-    :class:`FailedSession`) into the grid's report text — the *same*
-    bytes the equivalent single-host CLI invocation writes.
-    """
-
-    normalize: Callable[[dict], dict]
-    build: Callable[[dict], list[object]]
-    render: Callable[[dict, list[object], str], str]
-    formats: tuple[str, ...]
-
-
-# The grid callables import the experiment drivers lazily: experiments
-# import pipeline submodules, so a module-level import here would tie a
-# knot through the package __init__s.
-def _table1_normalize(params: dict) -> dict:
-    from ..experiments import scenarios
-
-    ratios = [
-        float(r) for r in params.get("ratios")
-        or scenarios.TABLE1_DROP_RATIOS
-    ]
-    seeds = [
-        int(s) for s in params.get("seeds") or scenarios.TABLE1_SEEDS
-    ]
-    baseline = PolicyName(
-        params.get("baseline") or PolicyName.WEBRTC.value
-    ).value
-    if not ratios or not seeds:
-        raise ConfigError("table1 grid needs at least one ratio and seed")
-    return {"baseline": baseline, "ratios": ratios, "seeds": seeds}
-
-
-def _table1_build(params: dict) -> list[SessionConfig]:
-    from ..experiments import table1
-
-    batch, _spans = table1.plan_batch(
-        ratios=tuple(params["ratios"]),
-        seeds=tuple(params["seeds"]),
-        baseline=PolicyName(params["baseline"]),
-    )
-    return batch
-
-
-def _table1_render(params: dict, results: list, fmt: str) -> str:
-    from ..experiments import table1
-
-    _batch, spans = table1.plan_batch(
-        ratios=tuple(params["ratios"]),
-        seeds=tuple(params["seeds"]),
-        baseline=PolicyName(params["baseline"]),
-    )
-    return table1.render(table1.rows_from_results(results, spans), fmt)
-
-
-def _compare_normalize(params: dict) -> dict:
-    from ..experiments import comparison
-
-    drop_ratio = float(params.get("drop_ratio") or 0.2)
-    seeds = [int(s) for s in params.get("seeds") or (1, 2, 3)]
-    policies = [
-        PolicyName(p).value
-        for p in params.get("policies")
-        or [p.value for p in comparison.ALL_POLICIES]
-    ]
-    if not seeds or not policies:
-        raise ConfigError("compare grid needs at least one seed and policy")
-    return {
-        "drop_ratio": drop_ratio,
-        "policies": policies,
-        "seeds": seeds,
-    }
-
-
-def _compare_build(params: dict) -> list[SessionConfig]:
-    from ..experiments import comparison
-
-    return comparison.plan_batch(
-        drop_ratio=params["drop_ratio"],
-        seeds=tuple(params["seeds"]),
-        policies=tuple(PolicyName(p) for p in params["policies"]),
-    )
-
-
-def _compare_render(params: dict, results: list, fmt: str) -> str:
-    from ..experiments import comparison
-
-    rows = comparison.rows_from_results(
-        results,
-        seeds=tuple(params["seeds"]),
-        policies=tuple(PolicyName(p) for p in params["policies"]),
-    )
-    title = comparison.comparison_title(params["drop_ratio"])
-    return comparison.format_comparison(rows, title) + "\n"
-
-
-def _fleet_normalize(params: dict) -> dict:
-    from ..experiments import fleet
-
-    scenario_names = [
-        str(name)
-        for name in params.get("scenarios") or fleet.DEFAULT_SCENARIOS
-    ]
-    for name in scenario_names:
-        if name not in fleet.SCENARIOS:
-            raise ConfigError(
-                f"unknown fleet scenario {name!r}; "
-                f"known: {sorted(fleet.SCENARIOS)}"
-            )
-    seeds = [int(s) for s in params.get("seeds") or (1,)]
-    subscribers = int(params.get("subscribers") or fleet.SUBSCRIBERS)
-    duration = float(params.get("duration") or fleet.DURATION)
-    if not scenario_names or not seeds:
-        raise ConfigError(
-            "fleet grid needs at least one scenario and seed"
-        )
-    if subscribers < 2:
-        raise ConfigError("fleet grid needs at least two subscribers")
-    if duration <= 0:
-        raise ConfigError("fleet grid duration must be positive")
-    return {
-        "duration": duration,
-        "scenarios": scenario_names,
-        "seeds": seeds,
-        "subscribers": subscribers,
-    }
-
-
-def _fleet_build(params: dict) -> list:
-    from ..experiments import fleet
-
-    return fleet.plan_batch(
-        scenario_names=tuple(params["scenarios"]),
-        seeds=tuple(params["seeds"]),
-        subscribers=params["subscribers"],
-        duration=params["duration"],
-    )
-
-
-def _fleet_render(params: dict, results: list, fmt: str) -> str:
-    from ..experiments import fleet
-
-    report = fleet.FleetReport(
-        scenarios=tuple(params["scenarios"]),
-        seeds=tuple(params["seeds"]),
-        subscribers=params["subscribers"],
-        duration=params["duration"],
-        cells=fleet.rows_from_results(
-            results,
-            tuple(params["scenarios"]),
-            tuple(params["seeds"]),
-        ),
-    )
-    return fleet.render(report, fmt)
-
-
-def _chaos_normalize(params: dict) -> dict:
-    from ..experiments import robustness
-
-    scenario_names = [
-        str(name)
-        for name in params.get("scenarios") or robustness.DEFAULT_SCENARIOS
-    ]
-    fault_names = [
-        str(name)
-        for name in params.get("faults") or robustness.FAULT_NAMES
-    ]
-    policies = [
-        PolicyName(p).value
-        for p in params.get("policies")
-        or [p.value for p in robustness.DEFAULT_POLICIES]
-    ]
-    seeds = [int(s) for s in params.get("seeds") or (1, 2)]
-    duration = float(params.get("duration") or robustness.DURATION)
-    fault_at = float(params.get("fault_at") or robustness.FAULT_AT)
-    if not policies:
-        raise ConfigError("chaos grid needs at least one policy")
-    robustness.validate_grid(
-        tuple(scenario_names),
-        tuple(fault_names),
-        tuple(seeds),
-        duration,
-        fault_at,
-    )
-    return {
-        "duration": duration,
-        "fault_at": fault_at,
-        "faults": fault_names,
-        "policies": policies,
-        "scenarios": scenario_names,
-        "seeds": seeds,
-    }
-
-
-def _chaos_build(params: dict) -> list[SessionConfig]:
-    from ..experiments import robustness
-
-    return robustness.plan_batch(
-        scenario_names=tuple(params["scenarios"]),
-        fault_names=tuple(params["faults"]),
-        policies=tuple(PolicyName(p) for p in params["policies"]),
-        seeds=tuple(params["seeds"]),
-        duration=params["duration"],
-        fault_at=params["fault_at"],
-    )
-
-
-def _chaos_render(params: dict, results: list, fmt: str) -> str:
-    from ..experiments import robustness
-
-    report = robustness.report_from_results(
-        results,
-        scenario_names=tuple(params["scenarios"]),
-        fault_names=tuple(params["faults"]),
-        policies=tuple(PolicyName(p) for p in params["policies"]),
-        seeds=tuple(params["seeds"]),
-        duration=params["duration"],
-        fault_at=params["fault_at"],
-    )
-    return robustness.render(report, fmt)
-
-
-def _sweep_normalize(params: dict) -> dict:
-    from ..experiments import scenarios
-
-    ratios = [
-        float(r) for r in params.get("ratios")
-        or scenarios.TABLE1_DROP_RATIOS
-    ]
-    seeds = [int(s) for s in params.get("seeds") or (1, 2, 3)]
-    baseline = PolicyName(
-        params.get("baseline") or PolicyName.WEBRTC.value
-    ).value
-    if not ratios or not seeds:
-        raise ConfigError("sweep grid needs at least one ratio and seed")
-    return {"baseline": baseline, "ratios": ratios, "seeds": seeds}
-
-
-def _sweep_build(params: dict) -> list[SessionConfig]:
-    from . import sweeps
-
-    return sweeps.plan_drop_sweep(
-        ratios=tuple(params["ratios"]),
-        seeds=tuple(params["seeds"]),
-        baseline=PolicyName(params["baseline"]),
-    )
-
-
-def _sweep_render(params: dict, results: list, fmt: str) -> str:
-    from . import sweeps
-
-    rows = sweeps.rows_from_drop_sweep(
-        results,
-        ratios=tuple(params["ratios"]),
-        seeds=tuple(params["seeds"]),
-    )
-    return sweeps.render_drop_sweep(rows, fmt)
-
-
-#: Shardable grids by name. Each renders through the *driver's* own
-#: row-assembly and formatting code, so a merged report and the
-#: equivalent single-host CLI report are the same bytes by
-#: construction.
-GRIDS: dict[str, GridDef] = {
-    "table1": GridDef(
-        normalize=_table1_normalize,
-        build=_table1_build,
-        render=_table1_render,
-        formats=("table", "json", "csv"),
-    ),
-    "compare": GridDef(
-        normalize=_compare_normalize,
-        build=_compare_build,
-        render=_compare_render,
-        formats=("table",),
-    ),
-    "fleet": GridDef(
-        normalize=_fleet_normalize,
-        build=_fleet_build,
-        render=_fleet_render,
-        formats=("table", "json", "csv"),
-    ),
-    "chaos": GridDef(
-        normalize=_chaos_normalize,
-        build=_chaos_build,
-        render=_chaos_render,
-        formats=("table", "json", "csv"),
-    ),
-    "sweep": GridDef(
-        normalize=_sweep_normalize,
-        build=_sweep_build,
-        render=_sweep_render,
-        formats=("table", "json", "csv"),
-    ),
-}
-
-
-def grid_def(kind: str) -> GridDef:
-    """Look up a grid by name.
+def grid_def(kind: str):
+    """Look up a grid (an :class:`~repro.experiments.registry.Experiment`).
 
     Raises:
         ConfigError: for an unknown grid kind.
     """
-    try:
-        return GRIDS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown grid {kind!r} (available: {', '.join(sorted(GRIDS))})"
-        ) from None
+    # Lazy: the experiment drivers import pipeline submodules, so a
+    # module-level import here would tie a knot through the __init__s.
+    from ..experiments import registry
+
+    return registry.get(kind)
 
 
 # ----------------------------------------------------------------------
@@ -451,24 +142,26 @@ class ShardPlan:
     def plan_id(self) -> str:
         """Stable fingerprint of (grid, K, striping, cell → shard)."""
         payload = json.dumps(
-            {
-                "schema": PLAN_SCHEMA_VERSION,
-                "grid": {"kind": self.kind, "params": self.params},
-                "shards": self.shards,
-                "striping": self.striping,
-                "cells": [
-                    {
-                        "cost": self.cost_of(index),
-                        "hash": digest,
-                        "shard": self.shard_of(index),
-                    }
-                    for index, digest in enumerate(self.hashes)
-                ],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            self._identity(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+    def _identity(self) -> dict:
+        """Everything the plan file records except its ``plan_id``."""
+        return {
+            "schema": PLAN_SCHEMA_VERSION,
+            "grid": {"kind": self.kind, "params": self.params},
+            "shards": self.shards,
+            "striping": self.striping,
+            "cells": [
+                {
+                    "cost": self.cost_of(index),
+                    "hash": digest,
+                    "shard": self.shard_of(index),
+                }
+                for index, digest in enumerate(self.hashes)
+            ],
+        }
 
     # ------------------------------------------------------------------
     def shard_of(self, cell_index: int) -> int:
@@ -524,21 +217,11 @@ class ShardPlan:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-ready payload (pure function of the plan's identity)."""
-        return {
-            "schema": PLAN_SCHEMA_VERSION,
-            "plan_id": self.plan_id,
-            "grid": {"kind": self.kind, "params": self.params},
-            "shards": self.shards,
-            "striping": self.striping,
-            "cells": [
-                {
-                    "cost": self.cost_of(index),
-                    "hash": digest,
-                    "shard": self.shard_of(index),
-                }
-                for index, digest in enumerate(self.hashes)
-            ],
-        }
+        return {**self._identity(), "plan_id": self.plan_id}
+
+    def to_json(self) -> str:
+        """The plan file's exact text (sorted keys, no timestamps)."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def save(self, path: Path | str) -> None:
         """Atomically write the plan (byte-stable: sorted keys, no
@@ -550,8 +233,7 @@ class ShardPlan:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
+                handle.write(self.to_json())
             os.replace(tmp_name, target)
         except BaseException:
             try:
@@ -667,9 +349,7 @@ def build_plan(
             f"unknown striping {striping!r} "
             f"(available: {', '.join(STRIPING_MODES)})"
         )
-    definition = grid_def(kind)
-    canonical = definition.normalize(dict(params or {}))
-    batch = definition.build(canonical)
+    canonical, batch = grid_def(kind).plan(dict(params or {}))
     if shards > len(batch):
         raise ConfigError(
             f"cannot split {len(batch)} cells into {shards} shards "
@@ -734,16 +414,42 @@ def run_shard(
     cells = plan.cell_indices(index)
     configs = plan.configs()
     directory = shard_dir(base_dir, index)
+    results, supervisor_plan, _cache = _run_supervised(
+        [configs[i] for i in cells],
+        directory,
+        Path(manifest_path)
+        if manifest_path is not None
+        else directory / "manifest.json",
+        "shard",
+        workers,
+        policy,
+        argv,
+        lease_ttl,
+    )
+    return results, supervisor_plan
+
+
+def _run_supervised(
+    configs: list[object],
+    directory: Path,
+    manifest_path: Path,
+    command: str,
+    workers: int,
+    policy: SupervisorPolicy | None,
+    argv: list[str] | None,
+    lease_ttl: float | None,
+) -> tuple[list[object], SupervisorPlan, ResultCache]:
+    """Run ``configs`` under a fresh leased manifest and the shard cache
+    in ``directory`` (shared by :func:`run_shard` and
+    :func:`steal_shard`)."""
     cache = ResultCache(directory / "cache")
     cache.ensure_writable()
     supervisor_policy = policy if policy is not None else SupervisorPolicy()
     supervisor_policy.validate()
     manifest = RunManifest.create(
-        Path(manifest_path)
-        if manifest_path is not None
-        else directory / "manifest.json",
+        manifest_path,
         argv=argv,
-        command="shard",
+        command=command,
         workers=max(1, workers),
         session_timeout=supervisor_policy.session_timeout,
         max_retries=supervisor_policy.retry.max_retries,
@@ -755,12 +461,9 @@ def run_shard(
         policy=supervisor_policy, manifest=manifest
     )
     results = supervised_run_many(
-        [configs[i] for i in cells],
-        workers=max(1, workers),
-        cache=cache,
-        plan=supervisor_plan,
+        configs, workers=max(1, workers), cache=cache, plan=supervisor_plan
     )
-    return results, supervisor_plan
+    return results, supervisor_plan, cache
 
 
 # ----------------------------------------------------------------------
@@ -1010,29 +713,15 @@ def steal_shard(
         )
     configs = plan.configs()
     directory = shard_dir(base_dir, index)
-    cache = ResultCache(directory / "cache")
-    cache.ensure_writable()
-    supervisor_policy = policy if policy is not None else SupervisorPolicy()
-    supervisor_policy.validate()
-    manifest = RunManifest.create(
-        directory / "manifest.json",
-        argv=argv,
-        command="shard-steal",
-        workers=max(1, workers),
-        session_timeout=supervisor_policy.session_timeout,
-        max_retries=supervisor_policy.retry.max_retries,
-    )
-    if lease_ttl is not None:
-        manifest.enable_lease(ttl=lease_ttl)
-    manifest.save(force=True)
-    supervisor_plan = SupervisorPlan(
-        policy=supervisor_policy, manifest=manifest
-    )
-    results = supervised_run_many(
+    results, supervisor_plan, cache = _run_supervised(
         [configs[cell] for cell in claimed],
-        workers=max(1, workers),
-        cache=cache,
-        plan=supervisor_plan,
+        directory,
+        directory / "manifest.json",
+        "shard-steal",
+        workers,
+        policy,
+        argv,
+        lease_ttl,
     )
     for cell in claimed:
         digest = plan.hashes[cell]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from ..errors import ConfigError
 from .config import PolicyName, SessionConfig
@@ -226,6 +226,25 @@ def rows_from_drop_sweep(
     return rows
 
 
+def csv_text(
+    columns: Sequence[str], rows: Iterable[Iterable[object]]
+) -> str:
+    """Deterministic CSV, the encoding every grid report shares.
+
+    A header line, then one line per row: ``None`` is an empty cell,
+    floats are ``repr`` (round-trip exact), anything else is ``str``.
+    """
+    lines = [",".join(columns)]
+    for values in rows:
+        lines.append(",".join(
+            "" if value is None
+            else repr(value) if isinstance(value, float)
+            else str(value)
+            for value in values
+        ))
+    return "\n".join(lines) + "\n"
+
+
 def render_drop_sweep(rows: list[ComparisonRow], fmt: str) -> str:
     """Render sweep rows as a table, JSON, or CSV (deterministic bytes).
 
@@ -236,44 +255,13 @@ def render_drop_sweep(rows: list[ComparisonRow], fmt: str) -> str:
         ConfigError: on an unknown format.
     """
     if fmt == "json":
-        payload = [
-            {
-                "label": row.label,
-                "baseline_latency": row.baseline_latency,
-                "adaptive_latency": row.adaptive_latency,
-                "baseline_p95_latency": row.baseline_p95_latency,
-                "adaptive_p95_latency": row.adaptive_p95_latency,
-                "baseline_ssim": row.baseline_ssim,
-                "adaptive_ssim": row.adaptive_ssim,
-                "failed": row.failed,
-            }
-            for row in rows
-        ]
+        payload = [dataclasses.asdict(row) for row in rows]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        columns = (
-            "label",
-            "baseline_latency",
-            "adaptive_latency",
-            "baseline_p95_latency",
-            "adaptive_p95_latency",
-            "baseline_ssim",
-            "adaptive_ssim",
-            "failed",
+        columns = [f.name for f in dataclasses.fields(ComparisonRow)]
+        return csv_text(
+            columns, ([getattr(row, n) for n in columns] for row in rows)
         )
-        lines = [",".join(columns)]
-        for row in rows:
-            cells = []
-            for name in columns:
-                value = getattr(row, name)
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, float):
-                    cells.append(repr(value))
-                else:
-                    cells.append(str(value))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
     if fmt == "table":
         header = (
             f"{'point':<14} {'lat. red.':>9} {'p95 red.':>9} "

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ablations, comparison, figures, table1
+from repro.experiments import ablations, comparison, figures, registry, table1
 from repro.experiments.scenarios import ratio_label
 
 
 def test_table1_row_shape():
-    row = table1.run_row(0.2, seeds=(1,))
+    [row] = registry.run("table1", {"ratios": [0.2], "seeds": [1]})
     assert row.label == "drop to 20%"
     assert row.baseline_latency > row.adaptive_latency
     assert row.latency_reduction_pct > 50
@@ -21,7 +21,7 @@ def test_table1_row_shape():
 
 
 def test_table1_formatting():
-    rows = [table1.run_row(0.3, seeds=(1,))]
+    rows = registry.run("table1", {"ratios": [0.3], "seeds": [1]})
     text = table1.format_table(rows)
     assert "drop to 30%" in text
     assert "Table 1" in text
@@ -88,7 +88,7 @@ def test_rtt_sensitivity_rows():
 
 
 def test_comparison_includes_all_policies():
-    rows = comparison.run_comparison(drop_ratio=0.2, seeds=(1,))
+    rows = registry.run("compare", {"drop_ratio": 0.2, "seeds": [1]})
     names = {r.policy for r in rows}
     assert names == {
         "default_abr", "webrtc", "salsify", "adaptive", "oracle",

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.experiments import robustness
+from repro.experiments import registry, robustness
 from repro.faults import FaultKind, FaultSchedule, FaultSpec
 from repro.pipeline.config import (
     NetworkConfig,
@@ -121,13 +121,16 @@ def _small_matrix(workers: int = 1):
 
     configure(workers=workers, cache=None)
     try:
-        return robustness.run_matrix(
-            scenario_names=("steady",),
-            fault_names=("feedback_blackout", "capacity_outage"),
-            policies=(PolicyName.ADAPTIVE,),
-            seeds=(1,),
-            duration=10.0,
-            fault_at=4.0,
+        return registry.run(
+            "chaos",
+            {
+                "scenarios": ["steady"],
+                "faults": ["feedback_blackout", "capacity_outage"],
+                "policies": [PolicyName.ADAPTIVE.value],
+                "seeds": [1],
+                "duration": 10.0,
+                "fault_at": 4.0,
+            },
         )
     finally:
         configure(workers=1, cache=None)
@@ -167,10 +170,10 @@ def test_matrix_rejects_unknown_names():
     from repro.errors import ConfigError
 
     with pytest.raises(ConfigError):
-        robustness.run_matrix(scenario_names=("nope",))
+        registry.run("chaos", {"scenarios": ["nope"]})
     with pytest.raises(ConfigError):
-        robustness.run_matrix(fault_names=("nope",))
+        registry.run("chaos", {"faults": ["nope"]})
     with pytest.raises(ConfigError):
-        robustness.run_matrix(seeds=())
+        registry.run("chaos", {"seeds": []})
     with pytest.raises(ConfigError):
-        robustness.run_matrix(duration=5.0, fault_at=8.0)
+        registry.run("chaos", {"duration": 5.0, "fault_at": 8.0})

@@ -233,12 +233,12 @@ def test_supervised_run_writes_manifest(tmp_path, capsys):
 def test_interrupt_exits_130_and_seals_manifest(
     tmp_path, capsys, monkeypatch
 ):
-    from repro.experiments import robustness
+    from repro import cli
 
-    def interrupted(**kwargs):
+    def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(robustness, "run_matrix", interrupted)
+    monkeypatch.setattr(cli, "run_many", interrupted)
     manifest_path = tmp_path / "run.json"
     code = main(
         ["--no-cache", "chaos", "--quick",

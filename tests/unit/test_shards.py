@@ -169,7 +169,7 @@ def test_unknown_grid_rejected():
 
 
 def test_bad_policy_in_compare_grid_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown policy"):
         build_plan(
             "compare", {"seeds": [1], "policies": ["nonsense"]}, 1
         )

@@ -50,7 +50,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro import _native  # noqa: E402
-from repro.experiments import scenarios, table1  # noqa: E402
+from repro.experiments import registry, scenarios, table1  # noqa: E402
 from repro.pipeline.config import PolicyName  # noqa: E402
 from repro.pipeline.parallel import configure  # noqa: E402
 from repro.pipeline.session import RtcSession  # noqa: E402
@@ -79,7 +79,7 @@ TOLERANCES = (
 
 def regenerate(seeds: tuple[int, ...]) -> list[table1.Table1Row]:
     """Fresh Table-1 rows for the pinned seeds."""
-    return table1.run_table(seeds=seeds)
+    return registry.run("table1", {"seeds": list(seeds)})
 
 
 def rows_to_metrics(rows: list[table1.Table1Row]) -> dict:
