@@ -300,9 +300,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
     params = _grid_params(registry.get(args.grid), args)
-    plan = shards.build_plan(
-        args.grid, params, args.shards, striping=args.striping
-    )
+    plan = shards.build_plan(args.grid, params, args.shards)
     if args.output is None or args.output == "-":
         sys.stdout.write(plan.to_json())
     else:
@@ -817,13 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="K",
         help="number of shards to stripe the grid over",
-    )
-    splan_p.add_argument(
-        "--striping",
-        choices=list(shards.STRIPING_MODES),
-        default="cost",
-        help="cell -> shard policy: cost-weighted LPT or plain "
-        "round-robin (default: cost)",
     )
     _add_shard_grid_flags(splan_p)
     _add_output_flag(splan_p, "plan file")

@@ -9,11 +9,8 @@ be taken (send time at the sender, arrival time at the receiver).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-_packet_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -30,7 +27,6 @@ class Packet:
         capture_time: when the carried frame was captured (media only).
         send_time: when the packet entered the network (pacer output).
         arrival_time: when the packet left the network at the receiver.
-        packet_id: globally unique id for bookkeeping.
         payload: free-form extra data (tests, cross traffic markers).
         retransmission: True for NACK-triggered re-sends (kept out of
             the TWCC send history — real stacks use separate RTX seqs).
@@ -45,7 +41,6 @@ class Packet:
     capture_time: float = -1.0
     send_time: float = -1.0
     arrival_time: float = -1.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
     payload: Any = None
     retransmission: bool = False
 

@@ -17,6 +17,7 @@ from ..faults.spec import FaultSchedule
 from ..rtp.fec import FecConfig
 from ..rtp.nack import NackConfig
 from ..rtp.playout import PlayoutConfig
+from ..simcore.backend import AUTO_KERNEL, KERNELS
 from ..traces.bandwidth import BandwidthTrace
 from ..traces.content import ContentClass
 from ..units import mbps, ms
@@ -178,8 +179,8 @@ class SessionConfig:
         self.playout.validate()
         if self.faults is not None:
             self.faults.validate()
-        if self.kernel not in ("auto", "heap", "calendar", "batched"):
+        if self.kernel not in (AUTO_KERNEL, *KERNELS):
             raise ConfigError(
-                "kernel must be 'auto', 'heap', 'calendar', or "
-                f"'batched', got {self.kernel!r}"
+                f"kernel must be one of {(AUTO_KERNEL, *KERNELS)}, "
+                f"got {self.kernel!r}"
             )

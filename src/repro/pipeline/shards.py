@@ -92,9 +92,6 @@ PLAN_SCHEMA_VERSION = 2
 #: On-disk name of shard ``i`` under a shard base directory.
 SHARD_DIR_FORMAT = "shard-{index:03d}"
 
-#: Recognized striping modes for :func:`build_plan`.
-STRIPING_MODES = ("cost", "round-robin")
-
 #: Claim-file directory under a shard base directory.
 CLAIMS_DIR = "claims"
 
@@ -121,11 +118,11 @@ class ShardPlan:
 
     ``hashes`` holds every cell's config hash in grid-enumeration
     order. ``assignments`` records the shard each cell belongs to —
-    computed once at plan time (cost-weighted by default, see
-    :func:`build_plan`) and stored in the plan file, so every host and
-    every merge sees the identical partition regardless of which
-    striping policy produced it. When ``assignments`` is empty (a plan
-    constructed by hand) cells fall back to round-robin
+    computed once at plan time (cost-weighted, see :func:`build_plan`)
+    and stored in the plan file, so every host and every merge sees the
+    identical partition, whichever striping produced it (older plan
+    files may record ``round-robin``). When ``assignments`` is empty (a
+    plan constructed by hand) cells fall back to round-robin
     (``i % shards``). ``plan_id`` fingerprints the whole partition, so
     hosts can verify they are executing the same plan.
     """
@@ -321,34 +318,21 @@ def build_plan(
     kind: str,
     params: dict | None,
     shards: int,
-    striping: str = "cost",
 ) -> ShardPlan:
     """Partition a grid into ``shards`` deterministic shards.
 
-    ``striping`` picks the cell → shard policy:
-
-    * ``cost`` (default) — LPT greedy over per-cell cost estimates
-      (:func:`~repro.pipeline.parallel.estimate_cost`: roughly
-      simulated seconds × population × fault windows), so one
-      500-subscriber fleet cell does not land next to another while a
-      third shard idles;
-    * ``round-robin`` — cell ``i`` → shard ``i % shards`` (the v1
-      behavior; fine when cells are near-uniform).
-
-    Either way the assignment is recorded in the plan file, so
-    execution and merge never re-derive it.
+    Cells are striped by cost: LPT greedy over per-cell cost estimates
+    (:func:`~repro.pipeline.parallel.estimate_cost`: roughly simulated
+    seconds × population × fault windows), so one 500-subscriber fleet
+    cell does not land next to another while a third shard idles. The
+    assignment is recorded in the plan file, so execution and merge
+    never re-derive it.
 
     Raises:
-        ConfigError: unknown grid, bad params, unknown striping, or
-            ``shards < 1``.
+        ConfigError: unknown grid, bad params, or ``shards < 1``.
     """
     if shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards!r}")
-    if striping not in STRIPING_MODES:
-        raise ConfigError(
-            f"unknown striping {striping!r} "
-            f"(available: {', '.join(STRIPING_MODES)})"
-        )
     canonical, batch = grid_def(kind).plan(dict(params or {}))
     if shards > len(batch):
         raise ConfigError(
@@ -357,18 +341,14 @@ def build_plan(
         )
     hashes = tuple(config_hash(config) for config in batch)
     costs = tuple(estimate_cost(config) for config in batch)
-    if striping == "round-robin":
-        assignments = tuple(i % shards for i in range(len(batch)))
-    else:
-        assignments = _stripe_by_cost(hashes, costs, shards)
     return ShardPlan(
         kind=kind,
         params=canonical,
         shards=shards,
         hashes=hashes,
         costs=costs,
-        assignments=assignments,
-        striping=striping,
+        assignments=_stripe_by_cost(hashes, costs, shards),
+        striping="cost",
     )
 
 

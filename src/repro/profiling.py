@@ -9,12 +9,11 @@ The JSON schema (``SCHEMA_VERSION``):
 
 ```
 {
-  "schema": 3,
+  "schema": 4,
   "session": {"policy", "drop_ratio", "duration", "seed", "kernel"},
   "perf": {"wall_seconds", "events_fired", "events_per_sec"},
   "totals": {"calls", "seconds"},
-  "event_census": {"<subsystem module>": count, ...},
-  "handler_wall": {"<subsystem module>": seconds, ...},
+  "sort": "tottime" | "cumtime",
   "hotspots": [
     {"function", "file", "line", "calls", "tottime", "cumtime"},
     ...
@@ -23,15 +22,9 @@ The JSON schema (``SCHEMA_VERSION``):
 ```
 
 ``hotspots`` is sorted by the chosen key (self time by default —
-cumulative time buries leaf hot loops under their callers).
-``event_census`` attributes every fired event to the subsystem module
-of its callback, and ``handler_wall`` attributes wall time to the same
-modules (a dedicated step-driven run, separate from the cProfile
-pass). Both are measured under the *profiled* kernel: every backend
-supports ``peek_callback``/``step``, and the batched kernel's elided
-link services (drain-plan bookkeeping that never becomes an event) are
-attributed to the link's module so the census stays comparable with
-the heap reference.
+cumulative time buries leaf hot loops under their callers). Per-layer
+wall time is the layer ledger's job (``ledger/run.py --trace 1``), not
+this report's.
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ import cProfile
 import dataclasses
 import json
 import pstats
-import time
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -50,10 +42,9 @@ from .pipeline.session import RtcSession
 from .simcore.backend import resolve_kernel
 
 #: Bump when the JSON layout changes (consumers: CI artifact, tests).
-#: v2: session gained ``kernel``; top-level gained ``event_census``.
-#: v3: census measured under the profiled kernel (was heap-only);
-#: top-level gained ``handler_wall`` (per-handler wall-time table).
-SCHEMA_VERSION = 3
+#: v2: session gained ``kernel``. v4: the per-handler census tables
+#: added in v2/v3 are gone (they charged work to whichever event fired).
+SCHEMA_VERSION = 4
 
 #: Default number of hotspot rows reported.
 DEFAULT_TOP = 20
@@ -88,8 +79,6 @@ class ProfileReport:
     total_seconds: float
     sort: str
     hotspots: tuple[Hotspot, ...]
-    event_census: tuple[tuple[str, int], ...] = ()
-    handler_wall: tuple[tuple[str, float], ...] = ()
 
     @property
     def events_per_sec(self) -> float:
@@ -119,8 +108,6 @@ class ProfileReport:
                 "seconds": self.total_seconds,
             },
             "sort": self.sort,
-            "event_census": dict(self.event_census),
-            "handler_wall": dict(self.handler_wall),
             "hotspots": [
                 dataclasses.asdict(spot) for spot in self.hotspots
             ],
@@ -149,18 +136,6 @@ class ProfileReport:
                 f"{spot.calls:>9}  {spot.tottime:>8.3f}  "
                 f"{spot.cumtime:>8.3f}  {spot.function}"
             )
-        if self.event_census:
-            walls = dict(self.handler_wall)
-            lines.append("")
-            lines.append(
-                f"per-handler attribution ({self.kernel} kernel):"
-            )
-            lines.append(f"{'events':>9}  {'wall(s)':>8}  subsystem")
-            for subsystem, count in self.event_census:
-                lines.append(
-                    f"{count:>9}  {walls.get(subsystem, 0.0):>8.3f}  "
-                    f"{subsystem}"
-                )
         return "\n".join(lines) + "\n"
 
 
@@ -175,124 +150,6 @@ def pinned_config(
     config = scenarios.step_drop_config(drop_ratio, seed=seed)
     return dataclasses.replace(
         config, policy=PolicyName(policy), duration=duration
-    )
-
-
-def _handler_module(callback) -> str:
-    """Subsystem module a callback belongs to (``repro.`` stripped).
-
-    ``functools.partial`` has no ``__module__``, so the wrapped
-    callable is used; when that is a compiled twin from
-    ``repro._native`` the partial's bound instance decides instead, so
-    the census reads the same on both legs.
-    """
-    target = getattr(callback, "func", callback)
-    module = getattr(target, "__module__", None) or "<unknown>"
-    if module.startswith("repro._native"):
-        args = getattr(callback, "args", ())
-        if args:
-            module = type(args[0]).__module__
-    if module.startswith("repro."):
-        module = module[len("repro."):]
-    return module
-
-
-@dataclass(frozen=True)
-class HandlerCost:
-    """One subsystem's event count and wall time in a census run."""
-
-    module: str
-    events: int
-    seconds: float
-
-
-def handler_census(
-    policy: str = "adaptive",
-    drop_ratio: float = 0.2,
-    duration: float = 25.0,
-    seed: int = 1,
-    kernel: str = "auto",
-) -> tuple[HandlerCost, ...]:
-    """Per-subsystem event counts and wall time for one pinned session.
-
-    Drives the session one event at a time under the requested kernel
-    backend (``"auto"`` resolves the session default) and attributes
-    each fired event — and the wall time of firing it — to its
-    callback's module. Works on every backend: all three expose
-    ``peek_callback``/``step``, and lane heads attribute to the lane's
-    ``fire`` target.
-
-    Under the batched kernel, link packet services are elided into
-    drain plans and never become events; the scheduler still counts
-    them in ``events_fired`` when plans are applied, and the census
-    attributes that excess to the link's module (``netsim.link``) so
-    totals stay comparable with the heap reference. Registered
-    finalizers are flushed at the horizon for the same reason.
-
-    Wall times are *attribution*, not profiling: each step's elapsed
-    time lands on the module of the event that fired, including any
-    scheduler bookkeeping that step performed.
-
-    Returns :class:`HandlerCost` rows sorted by descending event count.
-    """
-    config = dataclasses.replace(
-        pinned_config(policy, drop_ratio, duration, seed),
-        kernel=resolve_kernel(kernel).value,
-    )
-    session = RtcSession(config)
-    scheduler = session.scheduler
-    end = config.duration + config.grace_period
-    counts: dict[str, int] = {}
-    seconds: dict[str, float] = {}
-    link_module = "netsim.link"
-    perf_counter = time.perf_counter
-    while True:
-        head = scheduler.peek_time()
-        if head is None or head > end:
-            break
-        module = _handler_module(scheduler.peek_callback())
-        fired_before = scheduler.events_fired
-        began = perf_counter()
-        scheduler.step()
-        elapsed = perf_counter() - began
-        counts[module] = counts.get(module, 0) + 1
-        seconds[module] = seconds.get(module, 0.0) + elapsed
-        # Drain-plan services applied lazily during this step (batched
-        # kernel only) bump events_fired without a stepped event.
-        elided = scheduler.events_fired - fired_before - 1
-        if elided > 0:
-            counts[link_module] = counts.get(link_module, 0) + elided
-    fired_before = scheduler.events_fired
-    began = perf_counter()
-    for finalizer in getattr(scheduler, "_finalizers", ()):
-        finalizer(end)
-    elapsed = perf_counter() - began
-    elided = scheduler.events_fired - fired_before
-    if elided > 0:
-        counts[link_module] = counts.get(link_module, 0) + elided
-        seconds[link_module] = seconds.get(link_module, 0.0) + elapsed
-    return tuple(
-        HandlerCost(module, count, seconds.get(module, 0.0))
-        for module, count in sorted(
-            counts.items(), key=lambda item: (-item[1], item[0])
-        )
-    )
-
-
-def event_census(
-    policy: str = "adaptive",
-    drop_ratio: float = 0.2,
-    duration: float = 25.0,
-    seed: int = 1,
-    kernel: str = "auto",
-) -> tuple[tuple[str, int], ...]:
-    """Per-subsystem event counts (see :func:`handler_census`).
-
-    Returns ``(subsystem, count)`` pairs sorted by descending count.
-    """
-    return tuple(
-        (cost.module, cost.events)
-        for cost in handler_census(policy, drop_ratio, duration, seed, kernel)
     )
 
 
@@ -357,9 +214,6 @@ def profile_session(
     perf = result.perf
     assert perf is not None  # sessions run inline always attach perf
     kernel = resolve_kernel(config.kernel).value
-    census = handler_census(
-        policy, drop_ratio, duration, seed, kernel=kernel
-    )
     return ProfileReport(
         policy=policy,
         drop_ratio=drop_ratio,
@@ -372,10 +226,4 @@ def profile_session(
         total_seconds=float(total_seconds),
         sort=sort,
         hotspots=hotspots,
-        event_census=tuple(
-            (cost.module, cost.events) for cost in census
-        ),
-        handler_wall=tuple(
-            (cost.module, cost.seconds) for cost in census
-        ),
     )

@@ -245,19 +245,6 @@ class BatchedScheduler(Scheduler):
         head = t_heap if t_heap <= t_lane else t_lane
         return None if head == _INF else head
 
-    def peek_callback(self) -> Callable[[], None] | None:
-        """Callback of the next event without firing it (``None`` if
-        idle). For a lane head this is the lane's ``fire``; heap wins
-        exact ties, mirroring :meth:`step`. Diagnostic — see
-        :meth:`Scheduler.peek_callback`."""
-        t_heap = self._sweep_heap_head()
-        t_lane, lane = self._min_lane()
-        if t_heap <= t_lane:
-            if not self._heap:
-                return None
-            return self._heap[0][3].callback
-        return lane.fire
-
     def step(self) -> bool:
         """Fire the single next event (heap-first on exact time ties)."""
         t_heap = self._sweep_heap_head()

@@ -218,12 +218,6 @@ class CalendarScheduler(Scheduler):
         entry = self._next_entry(_INF, pop=False)
         return None if entry is None else entry[0]
 
-    def peek_callback(self) -> Callable[[], None] | None:
-        """Callback of the next event without firing it (``None`` if
-        empty). Diagnostic — see :meth:`Scheduler.peek_callback`."""
-        entry = self._next_entry(_INF, pop=False)
-        return None if entry is None else entry[3].callback
-
     def step(self) -> bool:
         """Fire the single next event; ``False`` when the queue is empty."""
         entry = self._next_entry(_INF, pop=True)

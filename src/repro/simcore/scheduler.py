@@ -164,15 +164,6 @@ class Scheduler:
             return None
         return self._heap[0][0]
 
-    def peek_callback(self) -> Callable[[], None] | None:
-        """Callback of the next event without firing it (``None`` if
-        empty). Diagnostic — the profiling census attributes events to
-        handler modules with this."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][3].callback
-
     def step(self) -> bool:
         """Fire the single next event.
 

@@ -34,11 +34,6 @@ def test_packet_network_delay_requires_journey():
     assert packet.network_delay() == pytest.approx(0.05)
 
 
-def test_packet_ids_unique():
-    ids = {Packet(size_bytes=1).packet_id for _ in range(100)}
-    assert len(ids) == 100
-
-
 def test_results_audio_metrics_require_audio():
     from repro.pipeline.results import SessionResult
 

@@ -6,13 +6,13 @@ import json
 
 import pytest
 
+from repro import profiling
 from repro.cli import build_parser, main
 from repro.errors import ConfigError
 from repro.simcore.backend import resolve_kernel
 from repro.profiling import (
     DEFAULT_TOP,
     SCHEMA_VERSION,
-    handler_census,
     pinned_config,
     profile_session,
 )
@@ -34,12 +34,25 @@ def test_profile_session_validates_arguments():
         profile_session(sort="ncalls")
 
 
-def test_profile_report_json_schema():
+def test_profile_report_json_schema(monkeypatch):
+    sessions = []
+
+    class CountingSession(profiling.RtcSession):
+        def __init__(self, config):
+            sessions.append(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(profiling, "RtcSession", CountingSession)
     report = profile_session(
         policy="webrtc", duration=3.0, seed=2, top=5
     )
+    # One profiled session; no second run for per-handler tables.
+    assert len(sessions) == 1
     payload = json.loads(report.to_json())
-    assert payload["schema"] == SCHEMA_VERSION
+    assert set(payload) == {
+        "schema", "session", "perf", "totals", "sort", "hotspots",
+    }
+    assert payload["schema"] == SCHEMA_VERSION == 4
     assert payload["session"] == {
         "policy": "webrtc",
         "drop_ratio": 0.2,
@@ -47,14 +60,6 @@ def test_profile_report_json_schema():
         "seed": 2,
         "kernel": resolve_kernel().value,
     }
-    census = payload["event_census"]
-    assert census and all(
-        isinstance(count, int) and count > 0 for count in census.values()
-    )
-    # Every subsystem the pinned session exercises shows up.
-    assert any(name.startswith("netsim.") for name in census)
-    assert any(name.startswith("rtp.") for name in census)
-    assert sum(census.values()) > 0
     perf = payload["perf"]
     assert perf["wall_seconds"] > 0
     assert perf["events_fired"] > 0
@@ -73,30 +78,6 @@ def test_profile_report_json_schema():
     # Sorted by self time, descending.
     tottimes = [spot["tottime"] for spot in hotspots]
     assert tottimes == sorted(tottimes, reverse=True)
-    # Per-handler wall attribution covers the same subsystems.
-    wall = payload["handler_wall"]
-    assert set(wall) == set(census)
-    assert all(seconds >= 0.0 for seconds in wall.values())
-    assert sum(wall.values()) > 0
-
-
-def test_handler_census_kernel_parity():
-    """The census works under every backend and counts the same events
-    per subsystem — the batched kernel's elided link services included."""
-    rows = {
-        kernel: handler_census(
-            policy="webrtc", duration=2.0, seed=3, kernel=kernel
-        )
-        for kernel in ("heap", "calendar", "batched")
-    }
-    counts = {
-        kernel: {cost.module: cost.events for cost in census}
-        for kernel, census in rows.items()
-    }
-    assert counts["heap"] == counts["calendar"] == counts["batched"]
-    assert any(name.startswith("netsim.") for name in counts["heap"])
-    for census in rows.values():
-        assert all(cost.seconds >= 0.0 for cost in census)
 
 
 def test_profile_report_cumtime_sort():
@@ -113,6 +94,12 @@ def test_profile_text_format_lists_hotspots():
     assert "policy=webrtc" in text
     assert "events/s" in text
     assert "tottime" in text
+    # The output ends at the hotspot table.
+    assert text.splitlines()[-3:] == [
+        f"{spot.calls:>9}  {spot.tottime:>8.3f}  "
+        f"{spot.cumtime:>8.3f}  {spot.function}"
+        for spot in report.hotspots
+    ]
 
 
 def test_cli_profile_defaults():

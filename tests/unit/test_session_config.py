@@ -13,6 +13,7 @@ from repro.pipeline.config import (
     SessionConfig,
     VideoConfig,
 )
+from repro.simcore.backend import AUTO_KERNEL, KERNELS
 from repro.traces.bandwidth import BandwidthTrace
 from repro.units import mbps
 
@@ -63,6 +64,14 @@ def test_session_validation():
         dataclasses.replace(base, abr_update_interval=0).validate()
     with pytest.raises(ConfigError):
         dataclasses.replace(base, grace_period=-1).validate()
+
+
+def test_kernel_names_come_from_the_backend():
+    base = SessionConfig(network=_network())
+    for kernel in (AUTO_KERNEL, *KERNELS):
+        dataclasses.replace(base, kernel=kernel).validate()
+    with pytest.raises(ConfigError, match="kernel"):
+        dataclasses.replace(base, kernel="fibonacci").validate()
 
 
 def test_policy_enum_round_trip():

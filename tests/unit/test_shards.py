@@ -59,8 +59,26 @@ def test_shards_are_disjoint_and_exhaustive(shard_count):
     assert len(seen) == len(set(seen))
 
 
+def _round_robin_plan(assignments: bool) -> ShardPlan:
+    """A plan striped ``i % 3``: hand-built (no assignments) or as
+    older builds wrote it (assignments recorded)."""
+    plan = build_plan("table1", SMALL_TABLE1, 3)
+    return ShardPlan(
+        kind=plan.kind,
+        params=plan.params,
+        shards=3,
+        hashes=plan.hashes,
+        costs=plan.costs,
+        assignments=(
+            tuple(i % 3 for i in range(len(plan.hashes)))
+            if assignments else ()
+        ),
+        striping="round-robin",
+    )
+
+
 def test_round_robin_striping_assigns_by_index():
-    plan = build_plan("table1", SMALL_TABLE1, 3, striping="round-robin")
+    plan = _round_robin_plan(assignments=False)
     for cell_index in range(len(plan.hashes)):
         assert plan.shard_of(cell_index) == cell_index % 3
         assert cell_index in plan.cell_indices(cell_index % 3)
@@ -89,17 +107,15 @@ def test_cost_striping_separates_heavy_cells():
     assert sorted(plan.assignments) == [0, 1]
 
 
-def test_unknown_striping_rejected():
-    with pytest.raises(ConfigError, match="striping"):
-        build_plan("table1", SMALL_TABLE1, 3, striping="random")
-
-
-def test_striping_mode_changes_plan_id():
+def test_striping_mode_changes_plan_id(tmp_path):
     cost = build_plan("table1", SMALL_TABLE1, 3)
-    round_robin = build_plan(
-        "table1", SMALL_TABLE1, 3, striping="round-robin"
-    )
+    round_robin = _round_robin_plan(assignments=True)
     assert cost.plan_id != round_robin.plan_id
+    # A round-robin plan file written by an older build still loads.
+    round_robin.save(tmp_path / "plan.json")
+    loaded = ShardPlan.load(tmp_path / "plan.json")
+    assert loaded == round_robin
+    assert loaded.plan_id == round_robin.plan_id
 
 
 def test_plan_matches_grid_enumeration():

@@ -16,9 +16,9 @@ result cache and manifest directory under a temporary directory
 simulates once per tree.
 
 Invocations tagged ``fixed`` (invalid input that used to be swallowed
-or crash and is now a usage error) or ``new`` (a subcommand or flag the
-base does not have) may differ; every other invocation must match byte
-for byte. Exit status: 0 when nothing unexpected differs, 1 otherwise.
+or crash and is now a usage error), ``new`` (a subcommand or flag the
+base does not have) or ``removed`` (a flag the head no longer has) may
+differ; every other invocation must match byte for byte. Exit status: 0 when nothing unexpected differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class Invocation:
 
     ``outputs`` names the files (relative to the working directory)
     whose bytes are compared after the last step. ``allowed`` is
-    ``""`` (must match), ``"fixed"`` or ``"new"``.
+    ``""`` (must match), ``"fixed"``, ``"new"`` or ``"removed"``.
     """
 
     name: str
@@ -93,7 +93,7 @@ def _grid_invocations() -> list[Invocation]:
     return out
 
 
-# Shard plans: stdout and -o, every grid, both striping modes.
+# Shard plans: stdout and -o, every grid.
 _PLANS = {
     "table1": ("--seeds", "2"),
     "compare": ("--seeds", "1", "--policy", "webrtc", "--policy", "adaptive"),
@@ -109,10 +109,11 @@ def _plan_invocations() -> list[Invocation]:
         plan = ("shard", "plan", "--grid", grid, "--shards", "2")
         out.append(_one(f"shard plan {grid} defaults", *plan))
         out.append(_one(f"shard plan {grid}", *plan, *extra))
+        # --striping is gone: plans always stripe by cost.
         out.append(_one(
             f"shard plan {grid} round-robin -o", *plan, *extra,
             "--striping", "round-robin", "-o", "plan.json",
-            outputs=("plan.json",),
+            outputs=("plan.json",), allowed="removed",
         ))
     return out
 

@@ -4,10 +4,11 @@
 Runs a pinned 5-session batch (the paper's step-drop scenario, both
 policies plus three drop severities) serially, measures end-to-end
 sessions/sec, and fails when throughput falls below a floor. The floor
-carries ~3x headroom over the optimized hot path measured on a
-single-core CI runner (see ``BENCH_hotpath.json``), so it only trips on
-a real hot-path regression — an accidental O(n^2) in the packet path,
-a dropped ``__slots__``, heap churn — not on runner jitter.
+sits well below what the hot path sustains, so it only trips on a real
+hot-path regression — an accidental O(n^2) in the packet path, a
+dropped ``__slots__``, heap churn — not on runner jitter. Comparing
+kernels or legs is the layer ledger's job
+(``REPRO_KERNEL=heap python3 ledger/run.py --workload table1``).
 
 Also writes the ``repro-rtc profile`` JSON report for the first pinned
 session, so every CI run leaves a downloadable profile artifact to
@@ -34,16 +35,13 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro import _native  # noqa: E402
 from repro.experiments import scenarios  # noqa: E402
 from repro.pipeline.config import PolicyName  # noqa: E402
 from repro.pipeline.session import RtcSession  # noqa: E402
 from repro.profiling import profile_session  # noqa: E402
 
-#: The bulk fast lane sustains ~12 sessions/sec on the single-core
-#: reference container (BENCH_hotpath.json kernel matrix); 4.0 keeps
-#: ~3x headroom for slower CI runners while ratcheting in the
-#: fast-lane win over the pre-bulk floor of 3.0.
+#: The pinned batch ran at 5.3-6.5 sessions/sec on a 2-vCPU Intel Xeon
+#: guest (CPython 3.11); the floor leaves room for slower CI runners.
 DEFAULT_FLOOR = 4.0
 
 #: Pinned batch: (policy, drop_ratio), seed 1, default 25s duration.
@@ -56,7 +54,7 @@ PINNED_SESSIONS = (
 )
 
 
-def run_batch(kernel: str = "auto") -> tuple[float, int]:
+def run_batch() -> tuple[float, int]:
     """Run the pinned batch serially; returns (wall seconds, events)."""
     events = 0
     start = time.perf_counter()
@@ -65,45 +63,10 @@ def run_batch(kernel: str = "auto") -> tuple[float, int]:
             scenarios.step_drop_config(drop_ratio, seed=1),
             policy=policy,
         )
-        if kernel != "auto":
-            config = dataclasses.replace(config, kernel=kernel)
         result = RtcSession(config).run()
         assert result.perf is not None
         events += result.perf.events_fired
     return time.perf_counter() - start, events
-
-
-def kernel_matrix() -> list[str]:
-    """Sessions/s for every kernel backend (and the compiled leg).
-
-    Run on gate failure only: the matrix shows whether a regression is
-    global (all rows slow — runner or handler-body problem) or confined
-    to one backend/leg, which is the first question a triage asks.
-    """
-    legs: list[tuple[str, str, bool]] = [
-        ("heap", "heap", False),
-        ("calendar", "calendar", False),
-        ("batched", "batched", False),
-    ]
-    try:
-        from repro._native import _hotpath  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        legs.append(("batched+compiled", "batched", True))
-    rows = []
-    try:
-        for label, kernel, compiled in legs:
-            _native.configure(enabled=compiled)
-            wall, _ = run_batch(kernel=kernel)
-            wall = max(wall, 1e-6)
-            rows.append(
-                f"  {label:<18} {len(PINNED_SESSIONS) / wall:6.2f} "
-                "sessions/s"
-            )
-    finally:
-        _native.configure()
-    return rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,9 +111,6 @@ def main(argv: list[str] | None = None) -> int:
             "went)",
             file=sys.stderr,
         )
-        print("kernel matrix (same pinned batch):", file=sys.stderr)
-        for row in kernel_matrix():
-            print(row, file=sys.stderr)
         return 1
     print(
         f"OK: above the {args.min_sessions_per_sec:.2f} sessions/s floor"
